@@ -165,19 +165,16 @@ class COOMatrix(SparseMatrix):
                          validate=False)
 
 
-def concatenate_triplets(shape: Tuple[int, int], parts: list[COOMatrix]) -> COOMatrix:
-    """Concatenate tuple streams from several producers into one COO matrix.
+def check_part_shapes(shape: Tuple[int, int], parts: list[COOMatrix]) -> Tuple[int, int]:
+    """Validate ``shape`` and that every part shares it; returns the shape.
 
-    Used to gather the per-device partial outputs of Phases II and III
-    before the Phase IV merge.  All parts must share ``shape``.
-
-    Validation is vectorised: part shapes are compared as one integer
-    array instead of a Python loop, so gathering the O(units) Phase III
-    partials costs numpy time, not interpreter time.
+    Vectorised: part shapes are compared as one integer array instead of
+    a Python loop, so checking the O(units) Phase III partials costs
+    numpy time, not interpreter time.
     """
     shape = check_shape(shape)
     if not parts:
-        return COOMatrix.empty(shape)
+        return shape
     shapes = np.fromiter(
         (d for p in parts for d in p.shape), dtype=np.int64, count=2 * len(parts)
     ).reshape(-1, 2)
@@ -185,6 +182,19 @@ def concatenate_triplets(shape: Tuple[int, int], parts: list[COOMatrix]) -> COOM
     if not ok.all():
         bad = parts[int(np.flatnonzero(~ok)[0])]
         raise FormatError(f"part shape {bad.shape} differs from target {shape}")
+    return shape
+
+
+def concatenate_triplets(shape: Tuple[int, int], parts: list[COOMatrix]) -> COOMatrix:
+    """Concatenate tuple streams from several producers into one COO matrix.
+
+    Used to gather the per-device partial outputs of Phases II and III
+    before the Phase IV merge.  All parts must share ``shape``
+    (:func:`check_part_shapes`).
+    """
+    shape = check_part_shapes(shape, parts)
+    if not parts:
+        return COOMatrix.empty(shape)
     if len(parts) == 1:
         return parts[0].copy()
     row = np.concatenate([p.row for p in parts])

@@ -34,7 +34,6 @@ from repro.kernels.spa import DEFAULT_ROW_BLOCK
 from repro.kernels.merge import (
     MergeResult,
     MergeStats,
-    exclusive_scan,
     mark_master_indices,
     merge_tuples,
 )
@@ -164,7 +163,6 @@ __all__ = [
     "DEFAULT_ROW_BLOCK",
     "MergeResult",
     "MergeStats",
-    "exclusive_scan",
     "mark_master_indices",
     "merge_tuples",
     "csr_spmv",

@@ -124,21 +124,33 @@ def reuse_curve(
     """
     refs = np.asarray(b_row_refs)
     sizes = np.asarray(b_row_sizes)
-    hot = refs > 1
-    if not np.any(hot):
+    hot = np.flatnonzero(refs > 1)
+    if hot.size == 0:
         z = np.zeros(1)
         return z, z.copy()
-    refs_h = refs[hot].astype(np.float64)
-    sizes_h = sizes[hot].astype(np.float64)
-    order = np.argsort(-refs_h, kind="stable")
-    bytes_cum = np.cumsum(sizes_h[order]) * ELEM_BYTES
-    saved_cum = np.cumsum((refs_h[order] - 1.0) * sizes_h[order]) * ELEM_BYTES
+    refs_h = refs.take(hot)
+    if refs_h.dtype.kind in "iu":
+        # descending refs, ties by index, as with the float key below;
+        # numpy sorts keys of at most 16 bits with a stable radix sort
+        top = refs_h.max()
+        key = (top - refs_h).astype(np.min_scalar_type(top))
+    else:
+        key = -refs_h.astype(np.float64)
+    order = np.argsort(key, kind="stable")
+    # integer counts sum exactly in either dtype, so the curve is
+    # accumulated in the operands' dtype and converted once sampled
+    sizes_o = sizes.take(hot.take(order))
+    if sizes_o.dtype.kind in "iu":
+        sizes_o = sizes_o.astype(np.int64, copy=False)
+    bytes_cum = np.cumsum(sizes_o)
+    saved_cum = np.cumsum((refs_h.take(order) - 1) * sizes_o)
     if bytes_cum.size > REUSE_CURVE_POINTS:
         idx = np.unique(
             np.linspace(0, bytes_cum.size - 1, REUSE_CURVE_POINTS).astype(np.int64)
         )
         bytes_cum, saved_cum = bytes_cum[idx], saved_cum[idx]
-    return bytes_cum, saved_cum
+    return (bytes_cum.astype(np.float64) * ELEM_BYTES,
+            saved_cum.astype(np.float64) * ELEM_BYTES)
 
 
 @dataclass(frozen=True)

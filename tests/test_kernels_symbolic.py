@@ -1,11 +1,18 @@
 """Tests for symbolic work estimation, KernelStats, and reuse curves."""
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from repro.formats import CSRMatrix
 from repro.kernels import esc_multiply, estimate_work, symbolic_nnz
-from repro.kernels.symbolic import ELEM_BYTES, KernelStats, TUPLE_BYTES, reuse_curve
+from repro.kernels.symbolic import (
+    ELEM_BYTES,
+    REUSE_CURVE_POINTS,
+    KernelStats,
+    TUPLE_BYTES,
+    reuse_curve,
+)
 
 
 def ab(seed=0, m=25, p=20, n=22, density=0.2):
@@ -111,3 +118,72 @@ class TestReuseCurve:
         full = stats.reuse_saved_bytes(10**9)
         assert full == 4 * 8 * ELEM_BYTES
         assert stats.reuse_saved_bytes(1) < full
+
+
+def float_key_curve(refs, sizes):
+    """Reuse curve ordered by a float64 key sorted with a stable sort
+    (descending references, ties by row index), accumulated in float64."""
+    refs, sizes = np.asarray(refs), np.asarray(sizes)
+    hot = refs > 1
+    if not np.any(hot):
+        return np.zeros(1), np.zeros(1)
+    refs_h = refs[hot].astype(np.float64)
+    sizes_h = sizes[hot].astype(np.float64)
+    order = np.argsort(-refs_h, kind="stable")
+    bytes_cum = np.cumsum(sizes_h[order]) * ELEM_BYTES
+    saved_cum = np.cumsum((refs_h[order] - 1.0) * sizes_h[order]) * ELEM_BYTES
+    if bytes_cum.size > REUSE_CURVE_POINTS:
+        idx = np.unique(
+            np.linspace(0, bytes_cum.size - 1, REUSE_CURVE_POINTS).astype(np.int64)
+        )
+        bytes_cum, saved_cum = bytes_cum[idx], saved_cum[idx]
+    return bytes_cum, saved_cum
+
+
+def assert_same_curve(refs, sizes):
+    got, want = reuse_curve(refs, sizes), float_key_curve(refs, sizes)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64
+        np.testing.assert_array_equal(g, w)
+    return got
+
+
+class TestReuseCurveOrder:
+    """The integer-key sort gives the float-key order, tie for tie."""
+
+    @pytest.mark.parametrize("top", [3, 255, 256, 2**16 - 1, 2**16, 2**20])
+    def test_many_ties_any_magnitude(self, top):
+        # refs >= 2**16 take a wider key than the 16-bit radix sort
+        rng = np.random.default_rng(top)
+        refs = rng.integers(0, 4, 5000) * (top // 3) + rng.integers(0, 2, 5000)
+        refs[17] = top
+        sizes = rng.integers(1, 40, 5000)
+        assert_same_curve(refs, sizes)
+
+    def test_no_hot_rows(self):
+        bc, sc = assert_same_curve(np.array([0, 1, 1, 0]), np.array([3, 4, 5, 6]))
+        assert bc.tolist() == [0.0] and sc.tolist() == [0.0]
+
+    def test_one_hot_row(self):
+        bc, sc = assert_same_curve(np.array([0, 1, 7, 1]), np.array([3, 4, 5, 6]))
+        assert bc.tolist() == [5.0 * ELEM_BYTES]
+        assert sc.tolist() == [6.0 * 5 * ELEM_BYTES]
+
+    def test_up_to_64_hot_rows_not_downsampled(self):
+        rng = np.random.default_rng(1)
+        refs = rng.integers(2, 6, REUSE_CURVE_POINTS)
+        bc, sc = assert_same_curve(refs, rng.integers(1, 9, refs.size))
+        assert bc.size == REUSE_CURVE_POINTS
+
+    def test_downsampled_with_ties(self):
+        rng = np.random.default_rng(2)
+        assert_same_curve(rng.integers(0, 9, 20_000), rng.integers(1, 30, 20_000))
+
+    def test_float_references(self):
+        refs = np.array([2.0, 9.0, 0.0, 9.0, 3.0])
+        assert_same_curve(refs, np.array([1, 2, 3, 4, 5]))
+
+    def test_narrow_integer_dtypes(self):
+        refs = np.array([2, 9, 0, 9, 3, 40_000], dtype=np.int32)
+        sizes = np.array([1, 2, 3, 4, 5, 60_000], dtype=np.int32)
+        assert_same_curve(refs, sizes)
