@@ -5,7 +5,8 @@
   information, how much is architecture mapping;
 - Phase III work-unit size sensitivity (the paper tuned cpuRows = 1000,
   gpuRows = 10 000 empirically);
-- ESC vs SPA numeric kernels (identical results, different host cost);
+- the host engine vs the scalar oracle (identical results, different
+  host cost);
 - threshold selection: analytic estimator vs exhaustive real sweep;
 - heterogeneous csrmm (§VI) vs single-device csrmm.
 """
@@ -20,7 +21,7 @@ from repro.baselines import HiPC2012
 from repro.core import HHCPU
 from repro.core.hhcsrmm import HHCSRMM
 from repro.hardware.platform import platform_for_scale
-from repro.kernels import esc_multiply, spa_multiply
+from repro.kernels import esc_multiply
 
 
 def test_ablation_oracle_static_split(benchmark, show):
@@ -63,21 +64,25 @@ def test_ablation_workunit_sizes(benchmark, show):
 
 
 def test_ablation_kernel_host_cost(benchmark, show):
-    """ESC and SPA produce identical results; ESC vectorises better on
-    the host (this is host wall-clock, not simulated time)."""
+    """The host engine and the scalar oracle produce bit-identical
+    results; the engine vectorises (this is host wall-clock, not
+    simulated time)."""
     s = experiment_setup("wiki-Vote", scale=0.2)
     m = s.matrix
 
-    def esc():
+    def engine():
         return esc_multiply(m, m)
 
-    out_esc = benchmark(esc)
+    out_engine = benchmark(engine)
     t0 = time.perf_counter()
-    out_spa = spa_multiply(m, m)
-    spa_wall = time.perf_counter() - t0
-    assert out_esc.result.allclose(out_spa.result)
-    show("Ablation: kernels", f"ESC vs SPA identical on {m.nrows} rows "
-         f"(SPA host wall: {spa_wall*1e3:.1f} ms)")
+    out_oracle = esc_multiply(m, m, backend="reference")
+    oracle_wall = time.perf_counter() - t0
+    for field in ("row", "col", "data"):
+        assert np.array_equal(
+            getattr(out_engine.result, field), getattr(out_oracle.result, field)
+        )
+    show("Ablation: kernels", f"engine vs scalar oracle identical on {m.nrows} "
+         f"rows (oracle host wall: {oracle_wall*1e3:.1f} ms)")
 
 
 def test_ablation_threshold_estimator_vs_sweep(benchmark, show):

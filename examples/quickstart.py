@@ -33,7 +33,7 @@ def main() -> None:
     # Verify against the transparent reference kernel on a submatrix
     # (the full check lives in the test suite, against scipy).
     sub = a.take_rows(np.arange(200))
-    ref = hash_multiply(sub, a).result
+    ref = hash_multiply(sub, a, backend="reference").result
     ours = result.matrix.take_rows(np.arange(200))
     assert ours.allclose(ref.tocsr()), "numeric mismatch!"
     print("numeric check vs reference kernel: OK")

@@ -2,30 +2,25 @@
 
 A case binds one workload to one code path under test.  Two kinds:
 
-- ``kernel`` — a single spmm kernel call (hash / SPA / ESC, fast and
-  reference paths, plus a cross-quadrant masked product).  Only host
-  wall time is reported.
+- ``kernel`` — a single spmm kernel call (one per paper-facing label,
+  plus a cross-quadrant masked product).  Only host wall time is
+  reported.
 - ``end_to_end`` — a full Algorithm HH-CPU run.  Host wall time (how
   long the simulation takes to execute) and *simulated* time (what the
   model says the heterogeneous platform would take) are reported as
   separate fields — they must never be conflated (CLK001).
 
-Every case is **verified**: after timing, its result is compared
-bit-for-bit against ``scipy.sparse`` on the same operands.  The
-vectorised kernels accumulate intermediate products in k-major stream
-order (see :func:`repro.kernels.esc.ordered_segment_sum`), the same
-order scipy's ``csr_matmat`` uses, so exact equality is the contract —
-a verification failure fails the bench run.  The harness relaxes the
-contract to ``allclose`` only where the backend declares it cannot
-preserve that order (``Backend.ordered`` is False, e.g. JIT kernels
-with fused accumulation) — and marks the row accordingly.
+Every kernel case is **verified** bit-for-bit against ``scipy.sparse``
+on the same operands: both backends accumulate intermediate products in
+k-major stream order (see :func:`repro.kernels.esc.ordered_segment_sum`),
+the same order scipy's ``csr_matmat`` uses, so exact equality is the
+contract — a verification failure fails the bench run.
 
 Cases take the **backend axis** from the harness: ``make(a, b,
 backend)`` binds the operands *and* the kernel backend the timed
-callable dispatches through.  A case may pin its backend (the scalar
-references pin ``numpy`` — their ``slow=True`` / ``row_block=None``
-escape hatches bypass the registry, so the axis would only mislabel
-them); pinned cases ignore ``--backend`` and always report the pin.
+callable runs under — ``numpy`` (the engine) or ``reference`` (the
+scalar oracle), so ``--backend reference`` times the oracle on every
+case.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.bench.workloads import SMOKE, Workload, get_workload, iter_workloads
+from repro.bench.workloads import Workload, get_workload, iter_workloads
 from repro.formats.csr import CSRMatrix
 from repro.kernels import (
     adaptive_multiply,
@@ -74,8 +69,6 @@ class BenchCase:
     b_row_mask: Callable[[CSRMatrix, CSRMatrix], np.ndarray] | None = field(
         default=None, repr=False
     )
-    #: pinned kernel backend; None = follow the harness ``--backend`` axis
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if "." in self.name:
@@ -143,9 +136,9 @@ def _register(case: BenchCase) -> BenchCase:
     return case
 
 
-def _kernel_case(fn: Callable, **kwargs) -> Callable:
+def _kernel_case(fn: Callable) -> Callable:
     def make(a: CSRMatrix, b: CSRMatrix, backend: str) -> Callable[[], CaseOutput]:
-        return lambda: CaseOutput(matrix=fn(a, b, backend=backend, **kwargs).result)
+        return lambda: CaseOutput(matrix=fn(a, b, backend=backend).result)
 
     return make
 
@@ -177,12 +170,12 @@ def _build_registry() -> None:
     for wl in iter_workloads():
         _register(BenchCase(
             name=f"hash-{wl.name}", kind="kernel", workload=wl.name,
-            description=f"vectorised hash-accumulator kernel on {wl.name}",
+            description=f"hash-labelled kernel on {wl.name}",
             tags=wl.tags, make=_kernel_case(hash_multiply),
         ))
         _register(BenchCase(
             name=f"spa-{wl.name}", kind="kernel", workload=wl.name,
-            description=f"batched SPA kernel on {wl.name}",
+            description=f"SPA-labelled kernel on {wl.name}",
             tags=wl.tags, make=_kernel_case(spa_multiply),
         ))
         _register(BenchCase(
@@ -192,29 +185,9 @@ def _build_registry() -> None:
         ))
         _register(BenchCase(
             name=f"adaptive-{wl.name}", kind="kernel", workload=wl.name,
-            description=f"adaptive per-row-regime kernel on {wl.name}",
+            description=f"adaptive-labelled kernel on {wl.name}",
             tags=wl.tags + ("adaptive",), make=_kernel_case(adaptive_multiply),
         ))
-        if SMOKE in wl.tags:
-            # the scalar references only run at smoke sizes — they are
-            # the denominators of the vectorisation speedup ratios.
-            # Their slow=True / row_block=None escape hatches bypass the
-            # backend registry, so the backend axis is pinned to keep
-            # the report column truthful.
-            _register(BenchCase(
-                name=f"hash-slow-{wl.name}", kind="kernel", workload=wl.name,
-                description=f"reference dictionary-walk hash kernel on {wl.name}",
-                tags=wl.tags + ("reference",),
-                make=_kernel_case(hash_multiply, slow=True),
-                backend="numpy",
-            ))
-            _register(BenchCase(
-                name=f"spa-rowwise-{wl.name}", kind="kernel", workload=wl.name,
-                description=f"reference per-row SPA kernel on {wl.name}",
-                tags=wl.tags + ("reference",),
-                make=_kernel_case(spa_multiply, row_block=None),
-                backend="numpy",
-            ))
     for wl_name in ("powerlaw-sm", "powerlaw-md"):
         wl = get_workload(wl_name)
         _register(BenchCase(

@@ -2,7 +2,7 @@
 
     python -m repro bench                         # run everything
     python -m repro bench --filter smoke          # the CI subset
-    python -m repro bench --backend numba         # the kernel-backend axis
+    python -m repro bench --backend reference     # the kernel-backend axis
     python -m repro bench --list                  # show cases + backends
     python -m repro bench --compare BENCH_old.json --fail-on-regress 25
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 
-from repro.backends import DEFAULT_BACKEND, backend_status
 from repro.bench.cases import iter_cases
 from repro.bench.harness import (
     DEFAULT_REPEATS,
@@ -24,6 +23,7 @@ from repro.bench.harness import (
     run_bench,
     write_report,
 )
+from repro.kernels import BACKENDS, DEFAULT_BACKEND
 
 
 def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
@@ -32,11 +32,9 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         help="run only cases whose name/workload/tag contains SUBSTR "
              "(e.g. 'smoke' for the CI subset, 'hash' for one kernel)")
     parser.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help=f"kernel backend to time (default {DEFAULT_BACKEND}); cases "
-             "with a pinned backend keep their pin; `--list` shows "
-             "availability (an unavailable backend runs its fallback "
-             "and says so in the report)")
+        "--backend", default=None, choices=sorted(BACKENDS),
+        help=f"kernel backend to time (default {DEFAULT_BACKEND}: the "
+             "engine; reference: the scalar oracle)")
     parser.add_argument(
         "--warmup", type=int, default=DEFAULT_WARMUP,
         help=f"untimed warm-up executions per case (default {DEFAULT_WARMUP})")
@@ -72,21 +70,12 @@ def run_bench_command(args: argparse.Namespace) -> int:
         if not cases:
             print(f"no bench cases match filter {args.filter!r}")
             return 2
-        print("backends:")
-        for status in backend_status():
-            if status["available"]:
-                line = f"  {status['name']:10s} available  " \
-                       f"({'ordered' if status['ordered'] else 'unordered'})"
-            else:
-                line = f"  {status['name']:10s} UNAVAILABLE -> falls back to " \
-                       f"{status['impl']}: {status['fallback_reason']}"
-            print(line)
+        print(f"backends: {', '.join(sorted(BACKENDS))}")
         print()
         for case in cases:
             tags = f" [{', '.join(sorted(case.tags))}]" if case.tags else ""
-            pin = f" (backend pinned: {case.backend})" if case.backend else ""
             print(f"{case.name:28s} {case.kind:10s} {case.workload:14s}"
-                  f"{tags}  {case.description}{pin}")
+                  f"{tags}  {case.description}")
         return 0
     rev = git_rev()
 

@@ -26,9 +26,9 @@ from time import perf_counter  # repro: noqa[DET001,CLK001] — the bench harnes
 
 import numpy as np
 
-from repro.backends import DEFAULT_BACKEND, get_backend
 from repro.bench.cases import BenchCase, iter_cases, verify_against_scipy
 from repro.formats.validation import ensure_canonical
+from repro.kernels import resolve_backend
 from repro.obs.events import EVENTS, host_info
 from repro.obs.metrics import METRICS
 
@@ -73,20 +73,14 @@ def run_case(
 ) -> dict:
     """Time one case and verify its result; return one schema row.
 
-    ``backend`` selects the kernel backend the case runs under; a case
-    with a pinned ``case.backend`` (the scalar references, which bypass
-    the registry) ignores the axis and always reports its pin.  The
-    verification contract follows the backend: an ``ordered`` backend
-    preserves the k-major stream order and is checked bit-for-bit; an
-    unordered one (e.g. JIT kernels with fused accumulation) is marked
-    and checked with ``allclose``.
+    ``backend`` selects the kernel backend the case runs under
+    (``None`` = ``numpy``).
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
-    effective = case.backend or backend or DEFAULT_BACKEND
-    resolved = get_backend(effective)
+    effective = resolve_backend(backend)
     a, b = case.load_workload().build()
     # same validation gate as the algorithms: a malformed workload fails
     # loudly here instead of skewing timings or the scipy verification
@@ -112,10 +106,10 @@ def run_case(
                 wall_s=samples[-1], sim_time_s=out.sim_time_s,
             )
     mask = case.b_row_mask(a, b) if case.b_row_mask is not None else None
-    # bit-identity is only promised where the k-major stream order is
-    # preserved: kernel cases on an ordered backend.  Unordered backends
-    # and end-to-end merges are marked and verified with allclose.
-    exact = case.kind == "kernel" and resolved.ordered
+    # kernels keep the k-major stream order, so they are bit-identical
+    # to scipy; end-to-end merges sum partials in another association
+    # order and are verified with allclose
+    exact = case.kind == "kernel"
     verify_against_scipy(a, b, out, mask=mask, exact=exact)
     if METRICS.enabled:
         METRICS.inc("bench.cases")
@@ -134,7 +128,6 @@ def run_case(
         "workload": case.workload,
         "tags": sorted(case.tags),
         "backend": effective,
-        "backend_impl": resolved.impl,
         "wall_s": _wall_summary(samples),
         "sim_time_s": out.sim_time_s,
         "verified": True,
@@ -155,9 +148,7 @@ def run_bench(
     """Run every matching case and assemble a ``repro-bench/1`` report.
 
     ``backend`` is the report-wide kernel-backend axis (default
-    ``numpy``); cases with a pinned backend keep their pin and report it
-    in their own row, so one report can mix axes explicitly but never
-    silently.
+    ``numpy``).
     """
     cases = iter_cases(filter_substr)
     if not cases:
@@ -177,7 +168,7 @@ def run_bench(
             "warmup": warmup,
             "repeats": repeats,
             "filter": filter_substr,
-            "backend": backend or DEFAULT_BACKEND,
+            "backend": resolve_backend(backend),
         },
         "results": results,
     }

@@ -53,7 +53,7 @@ from repro.hetero.workqueue import (
     DoubleEndedWorkQueue,
     WorkUnit,
 )
-from repro.backends import get_backend, resolve_spec
+from repro.kernels import resolve_backend
 from repro.kernels.merge import merge_tuples, merge_tuples_grouped
 from repro.obs.events import EVENTS
 from repro.obs.metrics import METRICS
@@ -119,14 +119,13 @@ class HHCPU:
     platform:
         Simulated platform; defaults to the paper's i7 980 + K20c.
     kernel:
-        Numeric kernel name or callable ('esc' default; 'spa'/'hash'/
-        'adaptive' are numerically identical).
+        Numeric kernel label or callable ('esc' default; 'spa'/'hash'/
+        'adaptive' name the same host engine).
     backend:
-        Kernel-backend selection — a registered name ('reference' /
-        'numpy' / 'numba') or a full
-        :class:`repro.backends.BackendSpec`; ``None`` uses the default
-        spec (numpy).  Forwarded to the kernel dispatchers unless
-        ``kernel`` is an ad-hoc callable and no backend was asked for.
+        Kernel backend name: 'numpy' (the engine, the default for
+        ``None``) or 'reference' (the scalar oracle).  Forwarded to the
+        kernel unless ``kernel`` is an ad-hoc callable and no backend
+        was asked for.
     cpu_rows, gpu_rows:
         Phase III work-unit sizes (paper defaults 1000 / 10000).
     threshold_a, threshold_b:
@@ -172,14 +171,11 @@ class HHCPU:
     ):
         self.platform = platform or default_platform()
         self.kernel = resolve_kernel(kernel)
-        self.backend_spec = resolve_spec(backend)
-        # ad-hoc kernel callables predate the registry and may not take a
-        # ``backend=`` kwarg; only forward when the kernel is a registry
-        # dispatcher or the caller explicitly asked for a backend
+        self.backend = resolve_backend(backend)
+        # ad-hoc kernel callables may not take a ``backend=`` kwarg; only
+        # forward it to a labelled kernel or when the caller asked for one
         self._kernel_backend = (
-            self.backend_spec
-            if isinstance(kernel, str) or backend is not None
-            else None
+            self.backend if isinstance(kernel, str) or backend is not None else None
         )
         if cpu_rows <= 0 or gpu_rows <= 0:
             raise ValueError("work-unit sizes must be positive")
@@ -226,14 +222,15 @@ class HHCPU:
             self.platform.inject_faults(self.faults)
         self.platform.reset()
         if EVENTS.enabled:
-            be = get_backend(self.backend_spec)
+            # both backends run natively and in k-major order; the
+            # constant fields keep the event's shape for log readers
             EVENTS.emit(
                 "backend_selected",
-                backend=self.backend_spec.backend,
-                impl=be.impl,
-                ordered=be.ordered,
-                available=be.available,
-                fallback_reason=be.fallback_reason,
+                backend=self.backend,
+                impl=self.backend,
+                ordered=True,
+                available=True,
+                fallback_reason=None,
             )
         return HHCPURunState(a=a, b=b)
 
@@ -381,7 +378,7 @@ class HHCPU:
                 if inj is not None:
                     part_out = inj.corrupt_part(
                         kind, part_out,
-                        backend=self.backend_spec.backend, now=run.end,
+                        backend=self.backend, now=run.end,
                     )
                 st.phase2_parts.append(part_out)
                 if kind == "gpu":
@@ -444,7 +441,7 @@ class HHCPU:
             if self.faults is not None:
                 part = self.faults.corrupt_part(
                     kind, part,
-                    backend=self.backend_spec.backend, now=run.end,
+                    backend=self.backend, now=run.end,
                 )
             return part
 

@@ -15,7 +15,7 @@ The JSON document shape (see README "Fault injection & degradation")::
         {"kind": "transfer_error", "probability": 0.2, "max_errors": 10},
         {"kind": "unit_error", "device": "gpu", "probability": 0.1, "max_errors": 5},
         {"kind": "result_corrupt", "device": "gpu", "probability": 0.3,
-         "mode": "bitflip", "max_errors": 2, "backend": "numba"},
+         "mode": "bitflip", "max_errors": 2, "backend": "numpy"},
         {"kind": "executor_crash", "at_checkpoint": 1}
       ]
     }
@@ -178,10 +178,9 @@ class ResultCorrupt:
     ``bit`` of one value's IEEE-754 image, ``"drop_row"`` deletes every
     tuple of one populated row.  At most ``max_errors`` corruptions in
     total (0 = unbounded).  When ``backend`` is set the fault only fires
-    on partials computed under that *configured* backend spec, so a
-    "numba produces wrong answers" scenario is expressible (and, because
-    the match is on the configured name, testable on hosts where numba
-    silently falls back to numpy)."""
+    on partials computed under that *configured* backend, so a "the
+    engine produces wrong answers" scenario is expressible and the
+    breaker's degradation to the ``reference`` oracle clears it."""
 
     device: str
     probability: float

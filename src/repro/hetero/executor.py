@@ -20,22 +20,23 @@ from repro.hardware.device import SimDevice
 from repro.kernels import SPMM_KERNELS, KernelResult
 from repro.kernels.symbolic import ELEM_BYTES
 from repro.obs.spans import SPANS
+from repro.util.errors import InvalidInputError
 
-#: kernel signature shared by esc/spa/hash
+#: kernel signature shared by the spmm labels
 KernelFn = Callable[..., KernelResult]
 
 
 def resolve_kernel(kernel: str | KernelFn) -> KernelFn:
-    """Accept a kernel function or a registry name
-    ('esc', 'spa', 'hash', 'adaptive')."""
+    """Accept a kernel function or a paper-facing label
+    ('esc', 'spa', 'hash', 'adaptive' — all the same host engine)."""
     if callable(kernel):
         return kernel
-    try:
+    if isinstance(kernel, str) and kernel in SPMM_KERNELS:
         return SPMM_KERNELS[kernel]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; choose from {sorted(SPMM_KERNELS)}"
-        ) from None
+    raise InvalidInputError(
+        f"unknown kernel {kernel!r}; choose from {sorted(SPMM_KERNELS)}",
+        field="kernel", value=kernel,
+    )
 
 
 def make_context(
@@ -105,10 +106,9 @@ def run_product(
     modelled time (plus ``extra_overhead``, e.g. a work-unit dequeue
     cost) to ``device``.
 
-    ``backend`` (a name or :class:`repro.backends.BackendSpec`) selects
-    the kernel implementation through the backend registry; it is only
-    forwarded when set, so ad-hoc kernel callables that predate the
-    registry keep working.
+    ``backend`` ('numpy' or 'reference') selects the kernel
+    implementation; it is only forwarded when set, so ad-hoc kernel
+    callables without a ``backend`` parameter keep working.
     """
     fn = resolve_kernel(kernel)
     kernel_kwargs = {} if backend is None else {"backend": backend}

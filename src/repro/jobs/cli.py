@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 
+from repro.kernels import BACKENDS
 from repro.scalefree import DATASET_NAMES
 
 
@@ -40,11 +41,11 @@ def add_run_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                    help="simulated-time budget; the run curtails gracefully, "
                         "checkpoints, and exits 1 (resumable) when spent")
-    p.add_argument("--backend", metavar="NAME", default=None,
-                   help="kernel backend (reference / numpy / numba; default "
-                        "numpy; numba falls back to numpy when unavailable). "
-                        "Fingerprinted: a checkpoint written under one "
-                        "backend refuses to resume under another")
+    p.add_argument("--backend", default=None, choices=sorted(BACKENDS),
+                   help="kernel backend (numpy = the engine, the default; "
+                        "reference = the scalar oracle). Fingerprinted: a "
+                        "checkpoint written under one backend refuses to "
+                        "resume under another")
     p.add_argument("--faults", metavar="SPEC", default=None,
                    help="fault-spec JSON file; the fault schedule (including "
                         "its RNG position) is checkpointed and resumes "
@@ -136,7 +137,7 @@ def run_job_command(args: argparse.Namespace) -> int:
                 "host": host_info(),
                 "matrix": args.matrix,
                 "scale": setup.scale,
-                "backend": runner.backend_spec.as_dict(),
+                "backend": runner.backend,
                 "faults": fault_spec.as_dict() if fault_spec else None,
                 "deadline_s": args.deadline,
                 "checkpoint_every": args.checkpoint_every or None,

@@ -42,7 +42,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.backends import resolve_spec
 from repro.core.hhcpu import HHCPU, HHCPURunState
 from repro.core.result import SpmmResult
 from repro.faults.spec import FaultSpec
@@ -54,12 +53,13 @@ from repro.hetero.partition import partition_rows
 from repro.hetero.scheduler import Phase3Carry, Phase3Outcome
 from repro.hetero.workqueue import DEFAULT_CPU_ROWS, DEFAULT_GPU_ROWS
 from repro.jobs.snapshot import find_resumable, write_checkpoint
+from repro.kernels import resolve_backend
 from repro.obs.events import EVENTS
 from repro.obs.metrics import METRICS
 from repro.util.errors import FaultError, ResourceExhausted
 
 #: fingerprint domain tag; bump when the fingerprinted config changes
-_FINGERPRINT_DOMAIN = "repro-job/2"
+_FINGERPRINT_DOMAIN = "repro-job/3"
 
 #: outcome counters round-tripped through the checkpoint
 _OUTCOME_FIELDS = (
@@ -95,15 +95,13 @@ class JobRunner:
     itself immediately after writing the N-th checkpoint).
 
     A configuration **fingerprint** (operand bytes + name/scale/kernel/
-    backend spec/unit sizes/thresholds/fault spec/memory budget) is
+    backend name/unit sizes/thresholds/fault spec/memory budget) is
     stamped into every checkpoint; resuming under a different
     configuration is refused rather than silently computing something
-    else.  In particular a checkpoint written under one
-    :class:`repro.backends.BackendSpec` refuses to resume under another
-    — regime thresholds decide which accumulator touched each row, so
-    crossing specs could silently change summation order.  The deadline
-    and checkpoint cadence are excluded, so an exhausted job can be
-    resumed with a larger budget.
+    else — a checkpoint written under one kernel backend refuses to
+    resume under the other, so a resumed result is always one
+    implementation's output.  The deadline and checkpoint cadence are
+    excluded, so an exhausted job can be resumed with a larger budget.
     """
 
     def __init__(
@@ -132,7 +130,7 @@ class JobRunner:
         self.checkpoint_dir = Path(checkpoint_dir)
         self.platform_factory = platform_factory
         self.kernel = kernel
-        self.backend_spec = resolve_spec(backend)
+        self.backend = resolve_backend(backend)
         self.cpu_rows = int(cpu_rows)
         self.gpu_rows = int(gpu_rows)
         self.threshold_a = threshold_a
@@ -173,7 +171,7 @@ class JobRunner:
             "matrix_name": self.matrix_name,
             "scale": repr(self.scale),
             "kernel": str(self.kernel),
-            "backend": self.backend_spec.as_dict(),
+            "backend": self.backend,
             "cpu_rows": self.cpu_rows,
             "gpu_rows": self.gpu_rows,
             "threshold_a": self.threshold_a,
@@ -195,7 +193,7 @@ class JobRunner:
         algo = HHCPU(
             self.platform_factory(),
             kernel=self.kernel,
-            backend=self.backend_spec,
+            backend=self.backend,
             cpu_rows=self.cpu_rows,
             gpu_rows=self.gpu_rows,
             threshold_a=self.threshold_a,

@@ -1,23 +1,18 @@
 """Numeric spmm kernels and the Phase IV tuple merge.
 
-Four numerically-equivalent spmm entry points (property-tested against
-each other and against ``scipy.sparse``):
+One host SpGEMM engine, :func:`repro.kernels.esc.esc_multiply` (ESC
+sort-compress with a flat dense accumulator for hub rows), and one
+scalar oracle, :func:`repro.kernels.hash_acc.reference_multiply` (the
+per-row dictionary walk).  :data:`BACKENDS` names them ``numpy`` and
+``reference``; the two give bit-identical results and equal stats.
 
-- :func:`esc_multiply` — expand–sort–compress (GPU-shaped);
-- :func:`spa_multiply` — dense sparse-accumulator (CPU-shaped, Gustavson);
-- :func:`hash_multiply` — hash/dictionary accumulation;
-- :func:`adaptive_multiply` — per-row regime selection over the above
-  (short→ESC, medium→hash, dense→flat SPA), thresholds from a
-  :class:`repro.backends.BackendSpec`.
-
-The package-level entry points are **dispatchers**: each resolves an
-implementation through the :mod:`repro.backends` registry (``backend=``
-names ``reference`` / ``numpy`` / ``numba``, or carries a full
-``BackendSpec``; ``None`` means the default, ``numpy``).  The raw
-implementations stay importable from their home modules
-(``repro.kernels.hash_acc`` …) for the backends package and the
-differential tests; everything above the kernel layer must go through
-these dispatchers (lint rule BKD001).
+The paper's kernel labels — ``esc`` (GPU-shaped), ``spa`` (CPU-shaped
+Gustavson), ``hash`` and ``adaptive`` — are kept as validated,
+paper-facing names in :data:`SPMM_KERNELS`; they all run the same
+``backend=`` implementation.  The accumulator each device would use
+lives in the device cost models, not in host code.  Everything above
+the kernel layer dispatches through the entry points here (lint rule
+BKD001).
 
 Plus :func:`merge_tuples` (Phase IV), symbolic work estimation, spmv,
 and the §VI csrmm extension.
@@ -29,8 +24,9 @@ import numpy as np
 
 from repro.formats.csr import CSRMatrix
 from repro.kernels.symbolic import KernelStats, WorkEstimate, estimate_work, symbolic_nnz
-from repro.kernels.esc import KernelResult, expand, sort_and_compress
-from repro.kernels.spa import DEFAULT_ROW_BLOCK
+from repro.kernels import esc as _engine
+from repro.kernels.esc import KernelResult, sort_and_compress
+from repro.kernels.hash_acc import reference_multiply
 from repro.kernels.merge import (
     MergeResult,
     MergeStats,
@@ -38,63 +34,39 @@ from repro.kernels.merge import (
     merge_tuples,
 )
 from repro.kernels.spmv import csr_spmv, masked_spmv, split_spmv
-from repro.kernels.csrmm import CsrmmResult, CsrmmStats
+from repro.kernels.csrmm import CsrmmResult, CsrmmStats, csrmm
+from repro.util.errors import InvalidInputError
 
-#: sentinel distinguishing "not passed" from an explicit ``None``
-_UNSET = object()
+#: backend used when callers do not ask for one
+DEFAULT_BACKEND = "numpy"
+
+#: the host implementations every spmm label can run under
+BACKENDS = {
+    "numpy": _engine.esc_multiply,
+    "reference": reference_multiply,
+}
 
 
-def _backend(backend):
-    # function-level import: repro.backends imports the raw kernel
-    # modules, so binding at module import time would be circular
-    from repro.backends import get_backend
+def resolve_backend(backend: object = None) -> str:
+    """Validate a ``backend=`` argument; ``None`` means the default.
 
-    return get_backend(backend)
-
-
-def hash_multiply(
-    a: CSRMatrix,
-    b: CSRMatrix,
-    a_rows: np.ndarray | None = None,
-    b_row_mask: np.ndarray | None = None,
-    *,
-    slow: bool = False,
-    backend=None,
-) -> KernelResult:
-    """Hash-accumulator product, dispatched through the backend registry.
-
-    ``slow=True`` forces the per-row Python dictionary walk (the
-    auditable reference) regardless of ``backend`` — it exists for
-    differential testing of that exact code path.
+    Raises :class:`repro.util.errors.InvalidInputError` for anything but
+    a name in :data:`BACKENDS` — backend selection is a public
+    validation gate exactly like operand hardening.
     """
-    if slow:
-        from repro.kernels.hash_acc import hash_multiply as raw
-
-        return raw(a, b, a_rows, b_row_mask, slow=True)
-    return _backend(backend).hash_multiply(a, b, a_rows, b_row_mask)
-
-
-def spa_multiply(
-    a: CSRMatrix,
-    b: CSRMatrix,
-    a_rows: np.ndarray | None = None,
-    b_row_mask: np.ndarray | None = None,
-    *,
-    row_block=_UNSET,
-    backend=None,
-) -> KernelResult:
-    """Gustavson SPA product, dispatched through the backend registry.
-
-    Passing ``row_block`` explicitly (an int, or ``None`` for the
-    per-row reference loop) selects the numpy implementation's batching
-    directly — it is an implementation knob of that backend, kept for
-    the differential tests.
-    """
-    if row_block is not _UNSET:
-        from repro.kernels.spa import spa_multiply as raw
-
-        return raw(a, b, a_rows, b_row_mask, row_block=row_block)
-    return _backend(backend).spa_multiply(a, b, a_rows, b_row_mask)
+    if backend is None:
+        return DEFAULT_BACKEND
+    if not isinstance(backend, str):
+        raise InvalidInputError(
+            f"backend must be a name or None, got {type(backend).__name__}",
+            field="backend", value=backend,
+        )
+    if backend not in BACKENDS:
+        raise InvalidInputError(
+            f"unknown kernel backend {backend!r}; choose from {sorted(BACKENDS)}",
+            field="backend", value=backend,
+        )
+    return backend
 
 
 def esc_multiply(
@@ -103,44 +75,28 @@ def esc_multiply(
     a_rows: np.ndarray | None = None,
     b_row_mask: np.ndarray | None = None,
     *,
-    backend=None,
+    backend: str | None = None,
 ) -> KernelResult:
-    """ESC product, dispatched through the backend registry."""
-    return _backend(backend).esc_multiply(a, b, a_rows, b_row_mask)
+    """``A[a_rows, :] @ B*mask`` under ``backend`` (the ESC label)."""
+    return BACKENDS[resolve_backend(backend)](a, b, a_rows, b_row_mask)
 
 
-def adaptive_multiply(
-    a: CSRMatrix,
-    b: CSRMatrix,
-    a_rows: np.ndarray | None = None,
-    b_row_mask: np.ndarray | None = None,
-    *,
-    backend=None,
-) -> KernelResult:
-    """Regime-selected product (see :mod:`repro.backends.adaptive`).
-
-    ``backend`` may carry a full :class:`repro.backends.BackendSpec`
-    with custom regime thresholds; a bare name (or ``None``) uses the
-    default thresholds over that backend's kernels.
-    """
-    from repro.backends import resolve_spec
-    from repro.backends.adaptive import adaptive_multiply as raw
-
-    return raw(a, b, a_rows, b_row_mask, spec=resolve_spec(backend))
+def spa_multiply(a, b, a_rows=None, b_row_mask=None, *, backend=None) -> KernelResult:
+    """The paper's CPU (SPA) label: the same product as :func:`esc_multiply`."""
+    return esc_multiply(a, b, a_rows, b_row_mask, backend=backend)
 
 
-def csrmm(
-    a: CSRMatrix,
-    dense: np.ndarray,
-    a_rows: np.ndarray | None = None,
-    *,
-    backend=None,
-) -> CsrmmResult:
-    """Sparse × dense product, dispatched through the backend registry."""
-    return _backend(backend).csrmm(a, dense, a_rows)
+def hash_multiply(a, b, a_rows=None, b_row_mask=None, *, backend=None) -> KernelResult:
+    """The hash-accumulator label: the same product as :func:`esc_multiply`."""
+    return esc_multiply(a, b, a_rows, b_row_mask, backend=backend)
 
 
-#: registry of the interchangeable numeric spmm kernels by name
+def adaptive_multiply(a, b, a_rows=None, b_row_mask=None, *, backend=None) -> KernelResult:
+    """The per-row-regime label: the same product as :func:`esc_multiply`."""
+    return esc_multiply(a, b, a_rows, b_row_mask, backend=backend)
+
+
+#: the paper-facing spmm kernel labels
 SPMM_KERNELS = {
     "esc": esc_multiply,
     "spa": spa_multiply,
@@ -154,13 +110,15 @@ __all__ = [
     "estimate_work",
     "symbolic_nnz",
     "KernelResult",
+    "DEFAULT_BACKEND",
+    "BACKENDS",
+    "resolve_backend",
     "esc_multiply",
-    "expand",
     "sort_and_compress",
     "spa_multiply",
     "hash_multiply",
     "adaptive_multiply",
-    "DEFAULT_ROW_BLOCK",
+    "reference_multiply",
     "MergeResult",
     "MergeStats",
     "mark_master_indices",

@@ -1,20 +1,13 @@
-"""Hash-accumulator spmm — reference implementation + vectorised twin.
+"""The scalar oracle: a per-row Python dictionary accumulator.
 
-Historically a pure-Python dictionary accumulator per output row:
-quadratically slower than the vectorised kernels but trivially
-auditable, and used by the test suite (alongside ``scipy.sparse``) as
-an oracle for the SPA and ESC kernels.
-
-The scalar ``zip(...tolist())`` loops made this the slowest path in the
-tree, so the default is now a batched numpy **segment reduction**
-(gather → stable sort by (occurrence, column) key → ``np.add.reduceat``,
-the same idiom as the ESC kernel's compress step) that is bit-identical
-to the dictionary walk: the expand stream is k-major per output row,
-the stable sort preserves that order within each (row, column) group,
-and ``reduceat`` sums each group left-to-right exactly as the repeated
-``acc[j] = acc.get(j, 0.0) + av * bv`` did.  The dictionary path is
-retained behind ``slow=True`` for differential testing and as the
-auditable reference.
+Quadratically slower than the engine but trivially auditable.  It is
+the ``reference`` backend of every spmm label and, with
+``scipy.sparse``, the oracle the tests hold the engine to: for every
+selected row (in selection order) it walks the row's A entries, and
+for each streams the B row into ``acc[j] = acc.get(j, 0.0) + av * bv``
+— the k-major, +0.0-seeded accumulation order the engine reproduces
+bit for bit.  Rows are emitted in selection order (the engine emits
+them row-sorted), one run per occurrence.
 """
 
 from __future__ import annotations
@@ -24,127 +17,22 @@ import numpy as np
 from repro.formats.base import INDEX_DTYPE, VALUE_DTYPE, check_multiply_compatible
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
-from repro.kernels.esc import KernelResult, ordered_segment_sum
+from repro.kernels.esc import KernelResult, check_b_row_mask
 from repro.kernels.symbolic import KernelStats, reuse_curve
 from repro.obs.metrics import METRICS
 from repro.util.errors import ShapeError
 
 
-def _check_mask(b: CSRMatrix, b_row_mask) -> np.ndarray | None:
-    if b_row_mask is None:
-        return None
-    mask = np.asarray(b_row_mask, dtype=bool)
-    if mask.shape != (b.nrows,):
-        raise ShapeError(f"b_row_mask must have shape ({b.nrows},), got {mask.shape}")
-    return mask
-
-
-def hash_multiply(
+def reference_multiply(
     a: CSRMatrix,
     b: CSRMatrix,
     a_rows: np.ndarray | None = None,
     b_row_mask: np.ndarray | None = None,
-    *,
-    slow: bool = False,
 ) -> KernelResult:
-    """Hash/dictionary-style product ``A[a_rows, :] @ B*mask``; see
-    :func:`repro.kernels.esc.esc_multiply` for conventions.
-
-    ``slow=True`` selects the original per-row Python dictionary walk
-    (the auditable reference); the default vectorised path is
-    bit-identical to it and is property-tested so.
-    """
+    """Dictionary-walk product ``A[a_rows, :] @ B*mask``; see
+    :func:`repro.kernels.esc.esc_multiply` for conventions."""
     check_multiply_compatible(a, b)
-    mask = _check_mask(b, b_row_mask)
-    if slow:
-        return _hash_multiply_slow(a, b, a_rows, mask)
-    return _hash_multiply_fast(a, b, a_rows, mask)
-
-
-def _hash_multiply_fast(
-    a: CSRMatrix,
-    b: CSRMatrix,
-    a_rows: np.ndarray | None,
-    mask: np.ndarray | None,
-) -> KernelResult:
-    """Batched segment-reduce formulation of the dictionary walk."""
-    rows_iter = (
-        np.arange(a.nrows, dtype=INDEX_DTYPE)
-        if a_rows is None
-        else np.asarray(a_rows, dtype=INDEX_DTYPE)
-    )
-    if rows_iter.size and (rows_iter.min() < 0 or rows_iter.max() >= a.nrows):
-        raise ShapeError("a_rows selection out of range")
-
-    # gather the selected A entries in occurrence order (rows_iter may
-    # repeat a row; each occurrence emits its own output run, exactly
-    # like the reference loop)
-    counts = a.row_nnz()[rows_iter]
-    total_a = int(counts.sum())
-    seg_starts = np.zeros(rows_iter.size, dtype=INDEX_DTYPE)
-    if rows_iter.size:
-        np.cumsum(counts[:-1], out=seg_starts[1:])
-    ramp = np.arange(total_a, dtype=INDEX_DTYPE) - np.repeat(seg_starts, counts)
-    sel = np.repeat(a.indptr[rows_iter], counts) + ramp
-    pos = np.repeat(np.arange(rows_iter.size, dtype=INDEX_DTYPE), counts)
-    ks = a.indices[sel]
-    avals = a.data[sel]
-    if mask is not None:
-        keep = mask[ks]
-        pos, ks, avals = pos[keep], ks[keep], avals[keep]
-    a_entries = int(ks.size)
-    b_row_refs = np.bincount(ks, minlength=b.nrows).astype(INDEX_DTYPE)
-
-    # expand: one tuple per intermediate product, k-major per occurrence
-    b_sizes = b.row_nnz()
-    cnt = b_sizes[ks]
-    total = int(cnt.sum())
-    per_occurrence_work = np.bincount(
-        pos, weights=cnt, minlength=rows_iter.size
-    ).astype(INDEX_DTYPE)
-    ncols = INDEX_DTYPE(max(b.ncols, 1))
-    if total:
-        bseg = np.zeros(ks.size, dtype=INDEX_DTYPE)
-        np.cumsum(cnt[:-1], out=bseg[1:])
-        bramp = np.arange(total, dtype=INDEX_DTYPE) - np.repeat(bseg, cnt)
-        src = np.repeat(b.indptr[ks], cnt) + bramp
-        keys = np.repeat(pos, cnt) * ncols + b.indices[src]
-        vals = np.repeat(avals, cnt) * b.data[src]
-        # compress: in-order segment scatter reproduces the
-        # dictionary's accumulation order bit-for-bit
-        ukeys, summed = ordered_segment_sum(keys, vals)
-        out_rows = rows_iter[ukeys // ncols]
-        out_cols = ukeys % ncols
-        out_vals = summed
-    else:
-        out_rows = np.empty(0, dtype=INDEX_DTYPE)
-        out_cols = np.empty(0, dtype=INDEX_DTYPE)
-        out_vals = np.empty(0, dtype=VALUE_DTYPE)
-
-    shape = (a.nrows, b.ncols)
-    result = COOMatrix(shape, out_rows, out_cols, out_vals, validate=False)
-    stats = KernelStats.for_product(
-        a_entries,
-        per_occurrence_work,
-        result.nnz,
-        result.nnz,
-        b_reuse_curve=reuse_curve(b_row_refs, b_sizes),
-    )
-    if METRICS.enabled:
-        # every intermediate product performs exactly one dict probe
-        METRICS.inc("kernels.hash.launches")
-        METRICS.inc("kernels.hash.probes", stats.total_work)
-        METRICS.inc("kernels.hash.collisions", stats.total_work - result.nnz)
-    return KernelResult(result=result, stats=stats)
-
-
-def _hash_multiply_slow(
-    a: CSRMatrix,
-    b: CSRMatrix,
-    a_rows: np.ndarray | None,
-    mask: np.ndarray | None,
-) -> KernelResult:
-    """The original per-row dictionary accumulator (reference path)."""
+    mask = check_b_row_mask(b, b_row_mask)
     rows_iter = (
         list(range(a.nrows)) if a_rows is None else [int(r) for r in np.asarray(a_rows)]
     )

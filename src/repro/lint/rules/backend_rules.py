@@ -1,20 +1,18 @@
-"""BKD001 — kernel dispatch goes through the backend registry.
+"""BKD001 — kernel dispatch goes through the ``repro.kernels`` entry points.
 
 The algorithm layers (:mod:`repro.core`, :mod:`repro.hetero`) must not
 import the raw kernel implementation modules
-(``repro.kernels.hash_acc`` / ``repro.kernels.spa`` /
-``repro.kernels.esc``) directly.  The package-level dispatchers in
-:mod:`repro.kernels` resolve implementations through the
-:mod:`repro.backends` registry — that is what makes a run's backend
-selection (and its checkpoint fingerprint, bench row, and
+(``repro.kernels.esc`` — the engine — or ``repro.kernels.hash_acc`` —
+the scalar oracle) directly.  The package-level entry points in
+:mod:`repro.kernels` resolve the ``backend=`` name through the
+two-entry :data:`repro.kernels.BACKENDS` table — that is what makes a
+run's backend selection (and its checkpoint fingerprint, bench row, and
 ``backend_selected`` event) truthful.  A direct import pins one
-implementation behind the registry's back: the run would *report* one
+implementation behind the table's back: the run would *report* one
 backend and *execute* another, and the cross-backend equivalence and
 resume-refusal guarantees would silently not apply.
 
-The sanctioned importers are the backends package itself (it binds the
-raw implementations into :class:`~repro.backends.registry.Backend`
-entries) and the kernel package's own modules.
+The sanctioned importers are the kernel package's own modules.
 """
 
 from __future__ import annotations
@@ -30,31 +28,28 @@ _POLICED = ("repro.core", "repro.hetero")
 #: raw implementation modules the dispatchers wrap
 _RAW_KERNEL_MODULES = (
     "repro.kernels.hash_acc",
-    "repro.kernels.spa",
     "repro.kernels.esc",
 )
 
 
 @register
 class BKD001(Rule):
-    """Direct raw-kernel import above the backend registry.
+    """Direct raw-kernel import above the backend table.
 
     ``repro.core`` / ``repro.hetero`` code that imports
-    ``repro.kernels.hash_acc``, ``repro.kernels.spa``, or
-    ``repro.kernels.esc`` bypasses backend selection: the registry can
-    no longer substitute the reference or JIT implementation, the
-    ``backend`` recorded in fingerprints/bench rows stops describing
-    what actually ran, and cross-backend checkpoint refusal loses its
-    meaning.  Dispatch through :mod:`repro.kernels` (or resolve a
-    :class:`~repro.backends.registry.Backend` explicitly).
+    ``repro.kernels.hash_acc`` or ``repro.kernels.esc`` bypasses backend
+    selection: ``backend="reference"`` can no longer substitute the
+    scalar oracle, the ``backend`` recorded in fingerprints/bench rows
+    stops describing what actually ran, and cross-backend checkpoint
+    refusal loses its meaning.  Dispatch through :mod:`repro.kernels`.
     """
 
     id = "BKD001"
     description = (
         "repro.core / repro.hetero must not import the raw kernel "
-        "implementation modules (repro.kernels.hash_acc / .spa / .esc) "
+        "implementation modules (repro.kernels.hash_acc / .esc) "
         "directly; dispatch through the repro.kernels entry points so "
-        "the repro.backends registry controls which implementation runs"
+        "the backend= name controls which implementation runs"
     )
     example_violation = (
         "# in repro/hetero/...\n"
@@ -62,7 +57,7 @@ class BKD001(Rule):
         "out = esc_multiply(a, b)"
     )
     example_fix = (
-        "from repro.kernels import esc_multiply       # registry-dispatched\n"
+        "from repro.kernels import esc_multiply       # backend-dispatched\n"
         "out = esc_multiply(a, b, backend=spec)"
     )
 

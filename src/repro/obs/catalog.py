@@ -126,24 +126,15 @@ CATALOG: tuple[MetricSpec, ...] = (
     _c("kernels.esc.flops", "flops", "ESC multiply-adds"),
     _c("kernels.esc.tuples", "tuples", "ESC output tuples after local reduce"),
     _c("kernels.esc.expanded", "tuples", "ESC expanded (pre-reduce) tuples"),
-    _c("kernels.spa.launches", "launches", "SPA kernel launches"),
-    _c("kernels.spa.flops", "flops", "SPA multiply-adds"),
-    _c("kernels.spa.resets", "resets", "dense-accumulator resets"),
-    _c("kernels.spa.reset_slots", "slots", "accumulator slots cleared across resets"),
     _c("kernels.merge.calls", "calls", "k-way merge invocations"),
     _c("kernels.merge.tuples_in", "tuples", "tuples entering merges"),
     _c("kernels.merge.reduce_ops", "ops", "duplicate reductions performed"),
     _c("kernels.merge.sort_ops", "ops", "comparison work attributed to merge sorting"),
     _c("kernels.merge.grouped_calls", "calls", "memory-bounded hierarchical merge invocations"),
     _c("kernels.merge.groups", "groups", "part groups formed by bounded merges"),
-    _c("kernels.hash.launches", "launches", "hash-accumulator launches"),
-    _c("kernels.hash.probes", "probes", "hash table probes"),
+    _c("kernels.hash.launches", "launches", "scalar-oracle (dictionary walk) launches"),
+    _c("kernels.hash.probes", "probes", "scalar-oracle dictionary probes"),
     _c("kernels.hash.collisions", "probes", "probes that hit an occupied slot"),
-    # -- kernel backends ----------------------------------------------------
-    _c("backend.adaptive.launches", "launches", "adaptive regime-selected multiplies"),
-    _c("backend.adaptive.regime.{regime}.rows", "rows", "rows binned into a regime (short/medium/dense)"),
-    _c("backend.fallback.events", "dispatches", "kernel dispatches served by a fallback implementation (e.g. numba -> numpy)"),
-    _t("backend.numba.jit_compile_wall_s", "seconds", "host wall clock of first-call numba JIT compilation (reporting boundary only)"),
     # -- profile-driver derived gauges -------------------------------------
     _g("trace.phase.{phase}.time_s", "seconds", "per-phase simulated time (max over devices)"),
     _g("trace.phase.{phase}.gap_abs_s", "seconds", "within-phase device gap, absolute"),

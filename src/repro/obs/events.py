@@ -13,7 +13,7 @@ Schema (``repro-events/1``):
 - line 1 is the **header**: ``{"event": "header", "schema":
   "repro-events/1", "run_id": ..., "label": ..., "provenance":
   {...}}`` — provenance carries whatever identifies the run (the
-  ``repro-job/1`` config fingerprint for durable jobs, seeds, host
+  ``repro-job/3`` config fingerprint for durable jobs, seeds, host
   info from :func:`host_info`, CLI configuration);
 - every record carries ``seq`` (0-based, strictly increasing — a
   truncated log is detectable) and ``wall_t`` (host seconds since the

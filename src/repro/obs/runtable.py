@@ -19,8 +19,8 @@ run_id                  unique id of the run the row belongs to
 source                  artifact kind the row came from
                         (events|bench|metrics|service)
 config                  configuration label; ``--compare`` groups rows by it
-backend                 kernel backend the row ran under (reference /
-                        numpy / numba / ...); empty = unknown (older
+backend                 kernel backend the row ran under (numpy /
+                        reference); empty = unknown (older
                         artifacts default to numpy where the source
                         guarantees it)
 repetition              0-based repetition index within the run
@@ -296,12 +296,14 @@ def _run_event_rows(path: Path, header: dict, records: list[dict]) -> dict:
     if by_event.get("deadline_exhausted"):
         status = "exhausted"
 
-    backend_spec = (header.get("provenance") or {}).get("backend")
+    backend = (header.get("provenance") or {}).get("backend")
+    if isinstance(backend, dict):  # older job logs carried a whole spec
+        backend = backend.get("backend")
     return _row(
         run_id=path.stem,
         source="events",
         config=header.get("label") or header["run_id"],
-        backend=(backend_spec or {}).get("backend"),
+        backend=backend,
         repetition=0,
         samples=len(sim_samples) or len(wall_samples),
         work=work,

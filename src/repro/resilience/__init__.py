@@ -2,14 +2,14 @@
 
 The resilience layer ties the fault machinery (:mod:`repro.faults`),
 durable jobs (:mod:`repro.jobs`), the serving layer
-(:mod:`repro.service`), and the backend registry
-(:mod:`repro.backends`) into one story:
+(:mod:`repro.service`), and the kernel backends
+(:data:`repro.kernels.BACKENDS`) into one story:
 
 - :mod:`~repro.resilience.executor` — checkpointed execution with
   crash-resume, end-to-end verification, and breaker-aware backend
   degradation;
 - :mod:`~repro.resilience.verifier` — structural invariants plus
-  seeded spot re-execution against the ``reference`` backend;
+  seeded spot re-execution on the host engine;
 - :mod:`~repro.resilience.breaker` — per-backend circuit breakers on
   the simulated clock;
 - :mod:`~repro.resilience.quarantine` — poison-job deny-list;

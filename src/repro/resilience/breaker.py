@@ -8,7 +8,7 @@ repo-specific properties:
   of the deterministic replay;
 - **degradation, not refusal** — a tripped breaker does not fail
   requests.  The resilient executor walks the configured degradation
-  ladder (``numba`` → ``numpy`` → ``reference``, see
+  ladder (``numpy`` → ``reference``, see
   :data:`repro.resilience.config.DEGRADE_ORDER`) and runs the job on
   the fastest backend whose breaker admits it; the ladder's last rung
   is always admitted.

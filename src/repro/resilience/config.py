@@ -1,8 +1,7 @@
 """Configuration value objects for the resilience layer.
 
 Everything here is a small frozen dataclass with a validated
-constructor and a plain-dict round-trip, mirroring
-:class:`repro.backends.spec.BackendSpec`: the objects travel through
+constructor and a plain-dict round-trip: the objects travel through
 ``ServiceConfig`` (and therefore mix files, provenance headers, and
 fingerprints), so they must serialise deterministically and reject
 unknown fields at load time.
@@ -17,7 +16,7 @@ from repro.util.errors import InvalidInputError
 #: breaker degradation ladder, fastest first; a tripped breaker falls
 #: to the next entry, and the last entry is the bedrock that is always
 #: allowed to run (the scalar reference cannot be "broken away from")
-DEGRADE_ORDER = ("numba", "numpy", "reference")
+DEGRADE_ORDER = ("numpy", "reference")
 
 
 def _require(cond: bool, message: str, **context: object) -> None:
@@ -230,8 +229,8 @@ class ResilienceConfig:
     def degrade_chain(self, backend: str) -> tuple[str, ...]:
         """The backend ladder starting at ``backend``.
 
-        A backend outside :data:`DEGRADE_ORDER` (future registrations)
-        degrades straight down the full ladder behind it.
+        A name outside :data:`DEGRADE_ORDER` degrades straight down
+        the ladder behind its first rung.
         """
         if backend in DEGRADE_ORDER:
             i = DEGRADE_ORDER.index(backend)

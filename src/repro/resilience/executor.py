@@ -29,7 +29,7 @@ Drop-in replacement for :class:`repro.service.core.PipelineExecutor`
 4. **Circuit breaking with degradation.**  Failures are charged to the
    backend that produced them; a tripped breaker makes subsequent
    executions fall down the degradation ladder
-   (``numba`` → ``numpy`` → ``reference``) until the cooldown admits a
+   (``numpy`` → ``reference``) until the cooldown admits a
    half-open probe.  The ladder's last rung is always admitted.
 
 The executor is clock-passive: the service binds its simulated clock
@@ -143,11 +143,9 @@ class ResilientExecutor:
     ) -> tuple["SpmmResult", int, int, int]:
         """Run the pipeline once (resuming across injected executor
         crashes); returns (result, checkpoints, resumes, crashes)."""
-        from repro.backends import resolve_spec
         from repro.core.hhcpu import HHCPU
         from repro.jobs.runner import JobRunner
 
-        spec = resolve_spec(self._config.backend).with_backend(backend)
         faults = request.faults
         if faults is not None and attempt > 0:
             # re-roll the probabilistic faults; deterministic in the
@@ -157,7 +155,7 @@ class ResilientExecutor:
         if self._res.checkpoint_every is None:
             pipeline = HHCPU(
                 kernel=self._config.kernel,
-                backend=spec,
+                backend=backend,
                 cpu_rows=self._config.cpu_rows,
                 gpu_rows=self._config.gpu_rows,
                 faults=faults,
@@ -173,7 +171,7 @@ class ResilientExecutor:
                 request.b,
                 checkpoint_dir=ckpt_dir,
                 kernel=self._config.kernel,
-                backend=spec,
+                backend=backend,
                 cpu_rows=self._config.cpu_rows,
                 gpu_rows=self._config.gpu_rows,
                 faults=faults,

@@ -1,4 +1,4 @@
-"""End-to-end result verification against the reference backend.
+"""End-to-end result verification by seeded spot re-execution.
 
 The service's last line of defence against *silent* data corruption
 (bit-flips in tuple streams, dropped rows — see
@@ -8,7 +8,7 @@ a client, it is
 1. **structurally audited** — shape, monotone row pointers, in-range
    strictly-increasing column indices, finite values; and
 2. **spot re-executed** — a seeded sample of row blocks is recomputed
-   from the original operands with the ``reference`` backend
+   from the original operands with the host engine
    (:func:`repro.kernels.esc_multiply` + canonicalisation, the
    library-level twin of the Phase IV merge) and compared row by row.
 
@@ -138,9 +138,7 @@ def verify_result(
         METRICS.inc("resilience.verify.rows", int(rows.size))
     if rows.size == 0:
         return 0
-    expected = esc_multiply(
-        a, b, a_rows=rows, backend="reference"
-    ).result.canonicalize()
+    expected = esc_multiply(a, b, a_rows=rows).result.canonicalize()
     # restrict the delivered CSR to the sampled rows
     counts = (c.indptr[rows + 1] - c.indptr[rows]).astype(np.int64)
     got_rows = np.repeat(rows, counts)

@@ -129,8 +129,8 @@ class ServiceConfig:
     max_batch: int = 8
     #: pipeline knobs forwarded to :class:`repro.core.hhcpu.HHCPU`
     kernel: str = "esc"
-    #: kernel-backend name resolved through :mod:`repro.backends`
-    #: ("reference" / "numpy" / "numba"; numba auto-falls back to numpy)
+    #: kernel backend: "numpy" (the engine) or "reference" (the scalar
+    #: oracle); see :data:`repro.kernels.BACKENDS`
     backend: str = "numpy"
     cpu_rows: int = 1_000
     gpu_rows: int = 10_000

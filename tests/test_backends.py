@@ -1,13 +1,14 @@
-"""Tests for the kernel-backend registry (:mod:`repro.backends`).
+"""Tests for the kernel backends (:data:`repro.kernels.BACKENDS`).
 
-Covers: registry resolution and validation, the numba probe's
-transparent fallback, :class:`BackendSpec` round-trips, the Hypothesis
-cross-backend equivalence suite (every backend pair scipy-equal on
-every kernel; bit-identical where both sides declare ``ordered``), the
-adaptive selector's regime-partition property (every row lands in
-exactly one regime), the ``backend_selected`` event, and the
+Covers: backend-name resolution and validation, refusal of the removed
+selection knobs, the Hypothesis cross-backend equivalence suite (every
+backend scipy-equal on every kernel label, and bit-identical to each
+other), the engine's hub-row split (every row takes exactly one path,
+whatever the thresholds), the ``backend_selected`` event, and the
 cross-backend checkpoint resume refusal.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,28 +16,27 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 import hypothesis.extra.numpy as hnp
 
-from repro.backends import (
-    DEFAULT_BACKEND,
-    BackendSpec,
-    adaptive_multiply,
-    backend_names,
-    backend_status,
-    get_backend,
-    partition_rows,
-    resolve_spec,
-    REGIMES,
-)
-from repro.backends import numba_backend
 from repro.core import HHCPU
 from repro.formats import CSRMatrix
 from repro.hardware.platform import platform_for_scale
 from repro.jobs import JobRunner
-from repro.kernels import esc_multiply, hash_multiply, spa_multiply
+from repro.kernels import (
+    BACKENDS,
+    DEFAULT_BACKEND,
+    adaptive_multiply,
+    esc_multiply,
+    hash_multiply,
+    reference_multiply,
+    resolve_backend,
+    spa_multiply,
+)
+from repro.kernels import esc as engine
 from repro.obs.events import read_events, event_log
 from repro.scalefree import powerlaw_matrix
-from repro.util.errors import InvalidInputError
+from repro.service import ServiceConfig
+from repro.util.errors import InvalidInputError, ServiceError
 
-BACKENDS = backend_names()
+BACKEND_NAMES = sorted(BACKENDS)
 KERNELS = [("hash", hash_multiply), ("spa", spa_multiply), ("esc", esc_multiply)]
 
 
@@ -54,70 +54,81 @@ def assert_bit_identical(got, want):
     assert g.data.tobytes() == w.data.tobytes()
 
 
-# -- registry ---------------------------------------------------------------
+def thresholds(dense_fill=engine.DENSE_FILL, dense_min_work=engine.DENSE_MIN_WORK,
+               cells_budget=engine.CELLS_BUDGET):
+    """Temporarily move the engine's hub-row thresholds."""
+    return mock.patch.multiple(
+        engine, DENSE_FILL=dense_fill, DENSE_MIN_WORK=dense_min_work,
+        CELLS_BUDGET=cells_budget,
+    )
+
+
+# -- backend names ----------------------------------------------------------
 
 class TestRegistry:
-    def test_three_backends_registered(self):
-        assert {"reference", "numpy", "numba"} <= set(BACKENDS)
+    def test_two_backends_registered(self):
+        assert BACKEND_NAMES == ["numpy", "reference"]
+        assert BACKENDS["numpy"] is engine.esc_multiply
+        assert BACKENDS["reference"] is reference_multiply
 
     def test_default_resolution(self):
-        assert get_backend(None).name == DEFAULT_BACKEND == "numpy"
+        assert resolve_backend(None) == DEFAULT_BACKEND == "numpy"
 
     def test_spec_resolution(self):
-        assert get_backend(BackendSpec(backend="reference")).name == "reference"
+        assert resolve_backend("reference") == "reference"
+        assert resolve_backend("numpy") == "numpy"
 
     def test_unknown_backend_refused(self):
-        with pytest.raises(InvalidInputError, match="unknown kernel backend"):
-            get_backend("cuda")
+        for name in ("cuda", "numba", ""):
+            with pytest.raises(InvalidInputError, match="unknown kernel backend"):
+                resolve_backend(name)
 
     def test_bad_selector_type_refused(self):
         with pytest.raises(InvalidInputError, match="backend must be"):
-            get_backend(42)
-
-    def test_numba_fallback_is_recorded(self):
-        be = get_backend("numba")
-        if numba_backend._AVAILABLE:
-            assert be.impl == "numba" and be.fallback_reason is None
-        else:
-            # the probe ran once at import and kept the reason verbatim
-            assert be.impl == "numpy"
-            assert be.ordered  # the numpy kernels are ordered
-            assert "numba" in be.fallback_reason
-        status = {s["name"]: s for s in backend_status()}
-        assert status["numba"]["available"] == numba_backend._AVAILABLE
+            resolve_backend(42)
 
     def test_ordered_flags(self):
-        assert get_backend("reference").ordered
-        assert get_backend("numpy").ordered
+        # both backends accumulate in k-major stream order: bit-identical
+        a, b, *_ = pair(40, 30, 35, 0.2, 0.2, 11, 12)
+        assert_bit_identical(
+            esc_multiply(a, b, backend="reference").result,
+            esc_multiply(a, b, backend="numpy").result,
+        )
 
 
 class TestBackendSpec:
+    """A run's kernel selection is a backend name plus a kernel label."""
+
     def test_round_trip(self):
-        spec = BackendSpec(backend="reference", short_max=16, dense_fill=0.1)
-        assert BackendSpec.from_dict(spec.as_dict()) == spec
+        cfg = ServiceConfig(backend="reference", kernel="spa")
+        again = ServiceConfig.from_dict(cfg.as_dict())
+        assert (again.backend, again.kernel) == ("reference", "spa")
 
     def test_unknown_field_refused(self):
-        with pytest.raises(InvalidInputError, match="unknown BackendSpec"):
-            BackendSpec.from_dict({"backend": "numpy", "turbo": True})
+        # the regime knobs are gone: a config still carrying one is refused
+        doc = ServiceConfig().as_dict()
+        doc["short_max"] = 32
+        with pytest.raises(ServiceError, match="short_max"):
+            ServiceConfig.from_dict(doc)
+        with pytest.raises(TypeError):
+            HHCPU(dense_fill=0.05)
 
     @pytest.mark.parametrize("kwargs", [
         {"backend": ""},
-        {"short_max": -1},
-        {"dense_fill": 0.0},
-        {"dense_fill": 1.5},
-        {"cells_budget": 0},
+        {"backend": "numba"},
+        {"backend": 3},
+        {"kernel": "gustavson"},
+        {"kernel": 7},
     ])
     def test_invalid_values_refused(self, kwargs):
         with pytest.raises(InvalidInputError):
-            BackendSpec(**kwargs)
+            HHCPU(**kwargs)
 
     def test_resolve_spec_forms(self):
-        assert resolve_spec(None) == BackendSpec()
-        assert resolve_spec("reference").backend == "reference"
-        spec = BackendSpec(short_max=8)
-        assert resolve_spec(spec) is spec
+        assert HHCPU().backend == "numpy"
+        assert HHCPU(backend="reference").backend == "reference"
         with pytest.raises(InvalidInputError):
-            resolve_spec(3.14)
+            resolve_backend(3.14)
 
 
 # -- cross-backend equivalence ----------------------------------------------
@@ -140,7 +151,7 @@ class TestCrossBackendEquivalence:
     def test_all_backend_pairs_scipy_equal(self, kernel_name, kernel, ab):
         a, b = ab
         want = (a.to_scipy() @ b.to_scipy()).toarray()
-        outs = {name: kernel(a, b, backend=name) for name in BACKENDS}
+        outs = {name: kernel(a, b, backend=name) for name in BACKEND_NAMES}
         for name, out in outs.items():
             np.testing.assert_allclose(
                 out.result.todense(), want, rtol=1e-12, atol=0.0,
@@ -151,9 +162,8 @@ class TestCrossBackendEquivalence:
     @given(ab=operand_pair())
     def test_bit_identical_where_ordered(self, kernel_name, kernel, ab):
         a, b = ab
-        ordered = [n for n in BACKENDS if get_backend(n).ordered]
-        baseline = kernel(a, b, backend=ordered[0]).result
-        for name in ordered[1:]:
+        baseline = kernel(a, b, backend=BACKEND_NAMES[0]).result
+        for name in BACKEND_NAMES[1:]:
             assert_bit_identical(kernel(a, b, backend=name).result, baseline)
 
     def test_masked_and_row_restricted(self, kernel_name, kernel):
@@ -164,7 +174,7 @@ class TestCrossBackendEquivalence:
         Bm[~mask] = 0.0
         want = np.zeros((20, 18))
         want[rows] = A.toarray()[rows] @ Bm
-        for name in BACKENDS:
+        for name in BACKEND_NAMES:
             out = kernel(a, b, a_rows=rows, b_row_mask=mask, backend=name)
             np.testing.assert_allclose(
                 out.result.todense(), want, rtol=1e-12, atol=0.0,
@@ -184,42 +194,45 @@ class TestAdaptive:
 
     def test_bit_identical_to_ordered_backend(self):
         a, b, *_ = pair(60, 50, 55, 0.15, 0.15, 21, 22)
-        want = hash_multiply(a, b, backend="numpy").result
-        got = adaptive_multiply(a, b, spec=BackendSpec(backend="numpy")).result
+        want = hash_multiply(a, b, backend="reference").result
+        got = adaptive_multiply(a, b, backend="numpy").result
         assert_bit_identical(got, want)
 
     def test_custom_thresholds_still_exact(self):
         a, b, *_ = pair(40, 40, 40, 0.2, 0.2, 31, 32)
-        want = hash_multiply(a, b).result
-        for spec in (
-            BackendSpec(short_max=1),              # almost everything medium+
-            BackendSpec(short_max=10_000),         # everything short
-            BackendSpec(dense_fill=0.001),         # everything dense-eligible
-            BackendSpec(cells_budget=64),          # many tiny dense blocks
+        want = reference_multiply(a, b).result
+        for moved in (
+            dict(dense_fill=1.0, dense_min_work=10_000),  # no hub rows
+            dict(dense_fill=0.001, dense_min_work=0),     # every row a hub
+            dict(dense_fill=0.001, dense_min_work=10),    # a mix
+            dict(dense_min_work=0, cells_budget=64),      # one row per block
         ):
-            got = adaptive_multiply(a, b, spec=spec).result
+            with thresholds(**moved):
+                got = adaptive_multiply(a, b).result
             assert_bit_identical(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        row_work=hnp.arrays(np.int64, st.integers(0, 40),
-                            elements=st.integers(0, 10_000)),
-        ncols=st.integers(1, 100_000),
-        short_max=st.integers(1, 200),
-        dense_fill=st.floats(0.001, 1.0, allow_nan=False),
+        ab=operand_pair(),
+        dense_min_work=st.integers(0, 12),
+        cells_budget=st.integers(1, 40),
+        data=st.data(),
     )
     def test_partition_is_exactly_one_regime_per_row(
-        self, row_work, ncols, short_max, dense_fill
+        self, ab, dense_min_work, cells_budget, data
     ):
-        spec = BackendSpec(short_max=short_max, dense_fill=dense_fill)
-        masks = partition_rows(row_work, ncols, spec)
-        assert set(masks) == set(REGIMES)
-        stacked = np.stack([masks[r] for r in REGIMES])
-        # every row is claimed by exactly one regime — the partition is
-        # total and disjoint, whatever the thresholds
-        np.testing.assert_array_equal(
-            stacked.sum(axis=0), np.ones(row_work.size, dtype=np.int64)
-        )
+        a, b = ab
+        rows = data.draw(st.lists(
+            st.integers(0, a.nrows - 1), unique=True, max_size=a.nrows,
+        ).map(lambda xs: np.asarray(sorted(xs), dtype=np.int64)))
+        with thresholds(dense_min_work=dense_min_work, cells_budget=cells_budget):
+            got = esc_multiply(a, b, a_rows=rows).result
+        # each row's tuples form one (row, col)-sorted run: a row that
+        # took both paths, or neither, would repeat or lose keys
+        keys = got.row * max(b.ncols, 1) + got.col
+        assert np.all(np.diff(keys) > 0)
+        assert set(got.row.tolist()) <= set(rows.tolist())
+        assert_bit_identical(got, reference_multiply(a, b, a_rows=rows).result)
 
 
 # -- backend_selected event -------------------------------------------------
@@ -240,6 +253,8 @@ class TestBackendSelectedEvent:
         assert selected[0]["backend"] == "reference"
         assert selected[0]["impl"] == "reference"
         assert selected[0]["ordered"] is True
+        assert selected[0]["available"] is True
+        assert selected[0]["fallback_reason"] is None
 
 
 # -- cross-backend checkpoint refusal ---------------------------------------
@@ -276,12 +291,12 @@ class TestCheckpointRefusal:
         again = self._runner(matrix, full, backend="numpy").run(resume=True)
         assert_bit_identical(again.matrix, want.matrix)
 
-    def test_spec_thresholds_fingerprinted(self, tmp_path):
+    def test_kernel_label_fingerprinted(self, tmp_path):
         matrix = powerlaw_matrix(
             400, alpha=2.5, target_nnz=2_000, hub_bias=0.5, rng=17
         )
         ckdir = tmp_path / "ck"
-        self._runner(matrix, ckdir, backend=BackendSpec(short_max=32)).run()
-        drifted = self._runner(matrix, ckdir, backend=BackendSpec(short_max=8))
+        self._runner(matrix, ckdir, kernel="esc").run()
+        drifted = self._runner(matrix, ckdir, kernel="spa")
         with pytest.raises(InvalidInputError, match="different job configuration"):
             drifted.run(resume=True)

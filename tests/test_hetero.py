@@ -19,7 +19,7 @@ from repro.hetero import (
     threshold_candidates,
 )
 from repro.kernels import esc_multiply
-from repro.util.errors import SchedulingError
+from repro.util.errors import InvalidInputError, SchedulingError
 
 
 class TestPartition:
@@ -176,8 +176,10 @@ class TestExecutor:
     def test_resolve_kernel(self):
         assert resolve_kernel("esc") is esc_multiply
         assert resolve_kernel(esc_multiply) is esc_multiply
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError) as err:
             resolve_kernel("nope")
+        assert isinstance(err.value, ValueError)
+        assert err.value.context["field"] == "kernel"
 
     def test_run_product_charges_device(self, small_scalefree, small_platform):
         pf = small_platform

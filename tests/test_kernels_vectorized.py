@@ -1,24 +1,29 @@
-"""Bit-identity of the vectorised kernel fast paths vs their scalar
-references, CSR derived-array caching, and the vectorised workqueue
-bookkeeping.
+"""Bit-identity of the host engine vs the scalar oracle, CSR
+derived-array caching, and the vectorised workqueue bookkeeping.
 
-The contract under test: the batched hash and SPA paths, the ESC
-compress, and scipy's ``csr_matmat`` all accumulate each output
-element's intermediate products in k-major stream order seeded at +0.0,
-so their results are **bit-for-bit** equal (``np.array_equal``, not
-``allclose``) — including on empty rows, dense rows, masked B rows,
-row selections with duplicates, and power-law shapes.
+The contract under test: the engine's sort-compress path, its flat
+dense-accumulator path for hub rows, the scalar dictionary-walk oracle
+(``backend="reference"``), and scipy's ``csr_matmat`` all accumulate
+each output element's intermediate products in k-major stream order
+seeded at +0.0, so their results are **bit-for-bit** equal
+(``np.array_equal``, not ``allclose``) — including on empty rows,
+dense rows, masked B rows, mixed hub/ordinary selections, and
+power-law shapes — and every kernel label reports the same
+``KernelStats``, field by field.
 """
+
+import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 import hypothesis.extra.numpy as hnp
 
 from repro.formats import CSRMatrix
 from repro.hetero.workqueue import DoubleEndedWorkQueue, WorkUnit, chunk_rows
-from repro.kernels import esc_multiply, hash_multiply, spa_multiply
+from repro.kernels import SPMM_KERNELS, esc_multiply, hash_multiply, spa_multiply
+from repro.kernels import esc as engine
 from repro.kernels.esc import ordered_segment_sum
 from repro.scalefree import powerlaw_matrix
 from repro.util.errors import SchedulingError
@@ -30,8 +35,9 @@ _ELEMS = st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, 3.0, 0.1])
 
 @st.composite
 def product_instance(draw, max_dim=8):
-    """(A, B, a_rows, b_row_mask) with empty/dense rows, duplicate row
-    selections, and partial masks all reachable."""
+    """(A, B, a_rows, b_row_mask) with empty/dense rows, unsorted row
+    selections (duplicates dropped, first occurrence kept), and partial
+    masks all reachable."""
     m = draw(st.integers(1, max_dim))
     p = draw(st.integers(1, max_dim))
     n = draw(st.integers(1, max_dim))
@@ -40,56 +46,111 @@ def product_instance(draw, max_dim=8):
     rows = draw(st.one_of(
         st.none(),
         st.lists(st.integers(0, m - 1), min_size=0, max_size=m + 2)
-        .map(lambda xs: np.asarray(xs, dtype=np.int64)),
+        .map(lambda xs: np.asarray(list(dict.fromkeys(xs)), dtype=np.int64)),
     ))
     mask = draw(st.one_of(st.none(), hnp.arrays(np.bool_, (p,))))
     return CSRMatrix.from_dense(a), CSRMatrix.from_dense(b), rows, mask
+
+
+def hub_thresholds(dense_min_work, cells_budget=engine.CELLS_BUDGET):
+    """Move the engine's hub-row threshold so small operands mix paths."""
+    return mock.patch.multiple(
+        engine, DENSE_FILL=0.0, DENSE_MIN_WORK=dense_min_work,
+        CELLS_BUDGET=cells_budget,
+    )
+
+
+def assert_stats_equal(s1, s2):
+    for f in dataclasses.fields(s1):
+        v1, v2 = getattr(s1, f.name), getattr(s2, f.name)
+        if f.name == "b_reuse_curve":
+            for x1, x2 in zip(v1, v2):
+                np.testing.assert_array_equal(x1, x2)
+        elif isinstance(v1, np.ndarray):
+            np.testing.assert_array_equal(v1, v2, err_msg=f.name)
+        else:
+            assert v1 == v2, f.name
 
 
 def assert_bit_identical(r1, r2):
     np.testing.assert_array_equal(r1.result.row, r2.result.row)
     np.testing.assert_array_equal(r1.result.col, r2.result.col)
     np.testing.assert_array_equal(r1.result.data, r2.result.data)
-    assert r1.stats.a_entries == r2.stats.a_entries
-    assert r1.stats.total_work == r2.stats.total_work
-    assert r1.stats.tuples_emitted == r2.stats.tuples_emitted
-    np.testing.assert_array_equal(r1.stats.row_work, r2.stats.row_work)
+    assert_stats_equal(r1.stats, r2.stats)
 
 
-# -- vectorised fast paths vs scalar references ----------------------------
+def _sorted(rows):
+    return rows is None or bool(np.all(np.diff(rows) > 0))
+
+
+# -- the engine vs the scalar oracle ---------------------------------------
 
 @given(product_instance())
 @settings(max_examples=120, deadline=None)
 def test_hash_fast_bit_identical_to_dict_walk(inst):
     a, b, rows, mask = inst
+    if not _sorted(rows):
+        rows = np.sort(rows)
     fast = hash_multiply(a, b, a_rows=rows, b_row_mask=mask)
-    slow = hash_multiply(a, b, a_rows=rows, b_row_mask=mask, slow=True)
+    slow = hash_multiply(a, b, a_rows=rows, b_row_mask=mask, backend="reference")
     assert_bit_identical(fast, slow)
 
 
-@given(product_instance(), st.integers(1, 5))
+@given(product_instance(), st.integers(1, 20))
 @settings(max_examples=120, deadline=None)
-def test_spa_batched_bit_identical_to_rowwise(inst, row_block):
+def test_spa_batched_bit_identical_to_rowwise(inst, cells_budget):
+    """Every row through the flat dense accumulator, in blocks of a few
+    cells, equals the row-by-row oracle."""
     a, b, rows, mask = inst
-    batched = spa_multiply(a, b, a_rows=rows, b_row_mask=mask, row_block=row_block)
-    rowwise = spa_multiply(a, b, a_rows=rows, b_row_mask=mask, row_block=None)
+    if not _sorted(rows):
+        rows = np.sort(rows)
+    with hub_thresholds(0, cells_budget):
+        batched = spa_multiply(a, b, a_rows=rows, b_row_mask=mask)
+    rowwise = spa_multiply(a, b, a_rows=rows, b_row_mask=mask, backend="reference")
     assert_bit_identical(batched, rowwise)
 
 
-@given(product_instance())
+@given(product_instance(), st.integers(0, 12), st.integers(1, 40))
 @settings(max_examples=80, deadline=None)
-def test_cross_kernel_bit_identity_without_duplicate_rows(inst):
-    """hash == spa == esc bit-for-bit whenever the row selection has no
-    duplicate occurrences (with duplicates, esc merges across
-    occurrences while hash/spa emit one run per occurrence)."""
+def test_cross_kernel_bit_identity_without_duplicate_rows(inst, min_work, cells_budget):
+    """Every label under both backends, over selections that mix hub
+    and ordinary rows: equal ``KernelStats`` field by field (``row_work``
+    in selection order), bit-identical results for sorted selections,
+    and equal matrices for unsorted ones (the oracle emits rows in
+    selection order, the engine row-sorted)."""
     a, b, rows, mask = inst
-    if rows is not None and np.unique(rows).size != rows.size:
-        rows = np.unique(rows)
-    h = hash_multiply(a, b, a_rows=rows, b_row_mask=mask)
-    s = spa_multiply(a, b, a_rows=rows, b_row_mask=mask)
-    e = esc_multiply(a, b, a_rows=rows, b_row_mask=mask)
-    np.testing.assert_array_equal(h.result.todense(), s.result.todense())
-    np.testing.assert_array_equal(h.result.todense(), e.result.todense())
+    with hub_thresholds(min_work, cells_budget):
+        outs = [
+            SPMM_KERNELS[label](a, b, a_rows=rows, b_row_mask=mask, backend=backend)
+            for label in sorted(SPMM_KERNELS)
+            for backend in ("numpy", "reference")
+        ]
+    want = outs[-1]  # the oracle
+    for out in outs:
+        assert_stats_equal(out.stats, want.stats)
+        if _sorted(rows):
+            assert_bit_identical(out, want)
+        else:
+            np.testing.assert_array_equal(out.result.todense(), want.result.todense())
+
+
+def test_default_thresholds_mix_hub_and_ordinary_rows():
+    """At the shipped thresholds a power-law operand sends some rows to
+    the dense path and the rest to sort-compress, bit-identically to
+    the oracle, for a full product and an unsorted selection."""
+    a = powerlaw_matrix(600, alpha=2.1, target_nnz=6_000, hub_bias=0.5, rng=7)
+    work = a.squared_row_work()
+    hub = work >= max(engine.DENSE_FILL * a.ncols, engine.DENSE_MIN_WORK)
+    assert 0 < hub.sum() < (work > 0).sum()
+    rows = np.random.default_rng(3).permutation(a.nrows)[:300]
+    for sel in (None, np.sort(rows), rows):
+        got = esc_multiply(a, a, a_rows=sel)
+        want = esc_multiply(a, a, a_rows=sel, backend="reference")
+        assert_stats_equal(got.stats, want.stats)
+        if _sorted(sel):
+            assert_bit_identical(got, want)
+        else:
+            np.testing.assert_array_equal(got.result.todense(), want.result.todense())
 
 
 def test_kernels_bit_identical_to_scipy_on_powerlaw():
@@ -117,12 +178,6 @@ def test_ordered_segment_sum_is_stream_ordered():
         for v in vals[keys == key]:
             acc += v
         assert acc == total  # bitwise float equality, on purpose
-
-
-def test_spa_row_block_validation():
-    a = CSRMatrix.from_dense(np.eye(3))
-    with pytest.raises(ValueError, match="row_block"):
-        spa_multiply(a, a, row_block=0)
 
 
 # -- CSR derived-array caching ---------------------------------------------

@@ -97,9 +97,8 @@ class TestRepoIsClean:
         rendered = render_text(result)
         assert result.ok and not result.findings, f"\n{rendered}"
         # the justified host-timing suppressions: tools/calibrate.py,
-        # benchmarks/conftest.py, the repro.bench harness boundary, and
-        # the numba backend's JIT-compile accounting
-        assert result.suppressed == 4
+        # benchmarks/conftest.py, and the repro.bench harness boundary
+        assert result.suppressed == 3
 
     def test_cli_exits_zero_on_repo(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO_ROOT)

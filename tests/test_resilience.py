@@ -129,7 +129,7 @@ class TestConfig:
 
     def test_degrade_chain(self):
         cfg = ResilienceConfig()
-        assert cfg.degrade_chain("numba") == ("numba", "numpy", "reference")
+        assert DEGRADE_ORDER == ("numpy", "reference")
         assert cfg.degrade_chain("numpy") == ("numpy", "reference")
         assert cfg.degrade_chain("reference") == ("reference",)
         # unknown backends fall down the standard ladder behind them
@@ -148,7 +148,7 @@ class TestCircuitBreaker:
     CFG = BreakerConfig(failure_threshold=3, cooldown_s=5.0)
 
     def test_trips_at_threshold_and_refuses_while_open(self):
-        br = CircuitBreaker("numba", self.CFG)
+        br = CircuitBreaker("numpy", self.CFG)
         br.record_failure(0.0)
         br.record_failure(0.1)
         assert br.state == "closed" and br.allows(0.2)
@@ -158,7 +158,7 @@ class TestCircuitBreaker:
         assert not br.allows(5.19)  # cooldown not yet elapsed
 
     def test_half_open_probe_success_closes(self):
-        br = CircuitBreaker("numba", self.CFG)
+        br = CircuitBreaker("numpy", self.CFG)
         for t in (0.0, 0.0, 0.0):
             br.record_failure(t)
         assert br.allows(5.0)  # cooldown elapsed: one probe admitted
@@ -169,7 +169,7 @@ class TestCircuitBreaker:
         assert br.allows(5.5)
 
     def test_half_open_probe_failure_reopens_instantly(self):
-        br = CircuitBreaker("numba", self.CFG)
+        br = CircuitBreaker("numpy", self.CFG)
         for t in (0.0, 0.0, 0.0):
             br.record_failure(t)
         assert br.allows(5.0)
@@ -179,7 +179,7 @@ class TestCircuitBreaker:
         assert br.allows(10.5)
 
     def test_success_resets_failure_streak(self):
-        br = CircuitBreaker("numba", self.CFG)
+        br = CircuitBreaker("numpy", self.CFG)
         br.record_failure(0.0)
         br.record_failure(0.0)
         br.record_success(0.1)
@@ -422,19 +422,19 @@ class TestResilientExecutor:
         assert svc.status(clean) == COMPLETED
 
     def test_breaker_trips_and_degrades_the_ladder(self):
-        # corruption pinned to the numba backend: attempt 0 runs on
-        # numba and corrupts, the breaker trips, attempt 1 degrades to
-        # numpy where the fault no longer matches — job completes with
-        # a result scipy-equal to the fault-free run
+        # corruption pinned to the numpy backend: attempt 0 runs on
+        # numpy and corrupts, the breaker trips, attempt 1 degrades to
+        # the reference oracle where the fault no longer matches — job
+        # completes with a result scipy-equal to the fault-free run
         faults = _faults({"seed": 7, "faults": [
             {"kind": "result_corrupt", "device": "gpu", "probability": 1.0,
-             "mode": "drop_row", "backend": "numba"}]})
+             "mode": "drop_row", "backend": "numpy"}]})
         resilience = ResilienceConfig(
             quarantine_after=4,
             verify=VerifySpec(full=True),
             breaker=BreakerConfig(failure_threshold=1, cooldown_s=100.0),
         )
-        svc = self._service(resilience, backend="numba")
+        svc = self._service(resilience, backend="numpy")
         jid = svc.submit(_request(faults=faults))
         svc.drain()
         assert svc.status(jid) == COMPLETED
